@@ -9,6 +9,21 @@ which each dirty pin is processed exactly once.  This kernel runs that
 sweep over index arrays: the frontier at each level is an ``int`` array
 and the node equations are vectorized gathers/segment-reductions.
 
+The sweep pays a fixed round of numpy dispatches per level, the heap a
+fixed cost per dirty pin, so each flush picks its kernel from the
+pending work alone: a flush is *wide* — swept over arrays — when its
+dirty seeds number at least ``WIDE_SEEDS_PER_LEVEL`` per level of the
+timing graph, and *narrow* — run on the engine's own heap — otherwise.
+Full retimes and placement mass moves on designs wide enough to pay
+for the dispatches are wide; a transform's few-pin frontier is narrow.
+
+The timing image is built lazily, by the first wide flush of a graph
+generation.  The engine's value dicts stay authoritative: a narrow
+flush records the pins whose values it moved, and the next wide flush
+reloads just those into the image before sweeping.  Until then the
+image is stale and :meth:`ArrayStaKernel.ready` is false, so endpoint
+queries read the dicts.
+
 Bit-equivalence contract (pinned by ``tests/core``):
 
 * every float op replicates the object path's operand values and
@@ -34,13 +49,24 @@ gathered live per flush for frontier cells only, which is both correct
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.library.types import TAU
-from repro.timing.engine import _EPS, INF, DelayMode
+from repro.netlist.cell import Pin
+from repro.timing.engine import _EPS, INF, DelayMode, negative_slack_sum
 from repro.timing.graph import TimingGraph
+
+#: Dirty seeds (arrival plus required set sizes) per timing-graph level
+#: at which the levelized sweep beats the heap.  It is
+#: ``2 * c_level / (c_heap - c_sweep)``: a sweep costs c_level ≈ 50 µs
+#: of numpy dispatch per level in each direction, and each recompute
+#: costs c_heap ≈ 4.2 µs on the heap and c_sweep ≈ 1.8 µs in the
+#: sweep (Des1, depths 40 and 102, Python 3.11 / numpy 2 on one x86
+#: core).  The dispatch scan of benchmarks/bench_soa.py puts the
+#: crossover at 20-30 on the larger presets; 40 leans to the heap.
+WIDE_SEEDS_PER_LEVEL = 40
 
 # arrival node kinds
 _A_IN = 0      # input pin: wire arc from its net's driver
@@ -79,9 +105,10 @@ def _seg_starts(cnt: np.ndarray) -> np.ndarray:
 class _TimingImage:
     """Frozen index arrays for one timing-graph generation.
 
-    Built whenever the engine re-levelizes (structural edits null the
-    graph); value arrays are carried over from the engine's dicts so a
-    rebuilt image continues exactly where the previous one stopped.
+    Built by the first wide flush after the engine re-levelizes
+    (structural edits null the graph); value arrays are loaded from the
+    engine's dicts so a rebuilt image continues exactly where the
+    engine's values stand.
     """
 
     def __init__(self, engine, graph: TimingGraph) -> None:
@@ -219,25 +246,29 @@ class _TimingImage:
         self.nidx = nidx
 
         # endpoints, in the exact order engine.endpoints() yields them
-        ep: List[int] = []
-        for cell in cells:
-            if cell.is_sequential:
-                try:
-                    ep.append(self.pidx[id(cell.pin("D"))])
-                except KeyError:
-                    pass
-            elif cell.is_port:
-                ep.extend(self.pidx[id(p)] for p in cell.input_pins())
-        self.ep = np.asarray(ep, dtype=np.int64)
+        self.ep = np.fromiter(
+            (self.pidx[id(p)] for p in engine._endpoint_pins()),
+            dtype=np.int64)
 
-        # value arrays, carried from the engine's (authoritative) dicts
+        # value arrays, loaded from the engine's (authoritative) dicts
         self.arr_l = np.zeros(n)
         self.arr_e = np.zeros(n)
         self.req = np.zeros(n)
         self.has_arr = np.zeros(n, dtype=bool)
         self.has_req = np.zeros(n, dtype=bool)
+        self.reload(engine, pins)
+
+    def reload(self, engine, pins) -> None:
+        """Copy the engine's current values of ``pins`` into the arrays.
+
+        Within one graph generation values are only ever added or
+        overwritten (removals come with a structural edit, hence a new
+        image), so a pin absent from the dicts was never set here.
+        """
         arr, arrm, reqd = engine._arrival, engine._arrival_min, engine._required
-        for i, pin in enumerate(pins):
+        pidx = self.pidx
+        for pin in pins:
+            i = pidx[id(pin)]
             v = arr.get(pin)
             if v is not None:
                 self.arr_l[i] = v
@@ -261,19 +292,36 @@ class _TimingImage:
 
 
 class ArrayStaKernel:
-    """Levelized array sweep replacing the engine's per-pin heap."""
+    """Per-flush choice between the engine's heap and a levelized
+    array sweep (see the module docstring for the rule)."""
 
     def __init__(self) -> None:
         self._image: Optional[_TimingImage] = None
-        self._stats = {"sweeps": 0, "image_builds": 0,
+        #: pins whose dict values narrow flushes moved since the image
+        #: last matched the dicts (tracked only while the image is of
+        #: the current graph generation)
+        self._stale: Set[Pin] = set()
+        #: (graph, level count) of the last graph a flush ran on
+        self._depth: Optional[tuple] = None
+        self._stats = {"sweeps": 0, "narrow_flushes": 0,
+                       "image_builds": 0, "image_reloads": 0,
                        "frontier_pins": 0, "levels_swept": 0}
 
     def stats(self) -> Dict[str, int]:
+        """Copy of the kernel's counters.
+
+        ``sweeps`` and ``narrow_flushes`` count wide (array) and narrow
+        (heap) flushes; ``image_builds`` and ``image_reloads`` count
+        fresh images and stale-value reloads, both of which happen only
+        inside wide flushes; ``frontier_pins`` and ``levels_swept``
+        measure sweep work.
+        """
         return dict(self._stats)
 
     def drop(self) -> None:
         """Forget the image (value barrier: ``invalidate_all``)."""
         self._image = None
+        self._stale = set()
 
     def net_touched(self, net) -> None:
         """A net's electrical view was invalidated by the engine."""
@@ -289,18 +337,41 @@ class ArrayStaKernel:
             self._image.note_resize(cell)
 
     def ready(self, engine) -> bool:
+        """True when the image holds the engine's current values."""
         im = self._image
-        return im is not None and im.graph is engine._graph
+        return (im is not None and im.graph is engine._graph
+                and not self._stale)
 
     # ------------------------------------------------------------------
     # Flush
     # ------------------------------------------------------------------
 
+    def _levels(self, graph: TimingGraph) -> int:
+        depth = self._depth
+        if depth is None or depth[0] is not graph:
+            depth = self._depth = (graph, graph.max_level() + 1)
+        return depth[1]
+
     def flush(self, engine, graph: TimingGraph) -> None:
         im = self._image
-        if im is None or im.graph is not graph:
+        if im is not None and im.graph is not graph:
+            # a structural edit retired this generation's image
+            im = self._image = None
+            self._stale = set()
+        seeds = len(engine._dirty_arr) + len(engine._dirty_req)
+        if seeds < WIDE_SEEDS_PER_LEVEL * self._levels(graph):
+            self._stats["narrow_flushes"] += 1
+            changed = self._stale if im is not None else None
+            engine._flush_arrivals(graph, changed)
+            engine._flush_requireds(graph, changed)
+            return
+        if im is None:
             im = self._image = _TimingImage(engine, graph)
             self._stats["image_builds"] += 1
+        elif self._stale:
+            im.reload(engine, self._stale)
+            self._stale = set()
+            self._stats["image_reloads"] += 1
         self._stats["sweeps"] += 1
         req_extra = self._sweep_arrivals(engine, im)
         self._sweep_requireds(engine, im, req_extra)
@@ -664,11 +735,5 @@ class ArrayStaKernel:
         return float(finite.min()) if finite.size else INF
 
     def total_negative_slack(self, engine) -> float:
-        im = self._image
-        if im.ep.size == 0:
-            return 0.0
-        total = 0.0
-        for v in self._endpoint_slacks(im).tolist():
-            if v < INF:
-                total += min(0.0, v)
-        return total
+        return negative_slack_sum(
+            self._endpoint_slacks(self._image).tolist())

@@ -29,6 +29,12 @@ _EPS = 1e-9
 INF = float("inf")
 
 
+def negative_slack_sum(slacks: List[float]) -> float:
+    """TNS over endpoint slacks in endpoint order: the one summation
+    both timing kernels use, so they agree bit for bit."""
+    return sum(min(0.0, s) for s in slacks if s < INF)
+
+
 class DelayMode(enum.Enum):
     """Gate delay model in force (section 4.4 / 5 of the paper)."""
 
@@ -69,6 +75,9 @@ class TimingEngine(NetlistListener):
         self._dirty_req: Set[Pin] = set()
         self._net_elec: Dict[str, NetElectrical] = {}
         self._counter = itertools.count()
+        #: (graph, endpoint pins) of the last generation that asked;
+        #: structural events null ``_graph``, which retires the entry
+        self._endpoint_cache: Optional[Tuple[TimingGraph, List[Pin]]] = None
 
         self._stats = {
             "arrival_recomputes": 0,
@@ -156,7 +165,7 @@ class TimingEngine(NetlistListener):
     def worst_hold_slack(self) -> float:
         """Worst hold slack over register D pins (ps)."""
         self._flush()
-        slacks = [self.hold_slack(p) for p in self.endpoints()]
+        slacks = [self.hold_slack(p) for p in self._endpoint_pins()]
         finite = [s for s in slacks if s < INF]
         return min(finite) if finite else INF
 
@@ -172,6 +181,18 @@ class TimingEngine(NetlistListener):
 
     def endpoints(self) -> List[Pin]:
         """All capture points: register D pins and primary output pins."""
+        return list(self._endpoint_pins())
+
+    def _endpoint_pins(self) -> List[Pin]:
+        """The endpoint list, cached per timing-graph generation.
+
+        Endpoints change only when cells come or go, and those events
+        null ``_graph``; callers must not mutate the returned list.
+        """
+        graph = self._graph
+        cached = self._endpoint_cache
+        if cached is not None and cached[0] is graph:
+            return cached[1]
         out = []
         for cell in self.netlist.cells():
             if cell.is_sequential:
@@ -181,7 +202,16 @@ class TimingEngine(NetlistListener):
                     pass
             elif cell.is_port:
                 out.extend(cell.input_pins())
+        if graph is not None:
+            self._endpoint_cache = (graph, out)
         return out
+
+    def _endpoint_slack_list(self) -> List[float]:
+        """Setup slack of every endpoint, in endpoint order (flushed)."""
+        self._flush()
+        req, arr = self._required, self._arrival
+        return [req.get(p, INF) - arr.get(p, 0.0)
+                for p in self._endpoint_pins()]
 
     def worst_slack(self) -> float:
         """Worst (most negative) endpoint slack (ps)."""
@@ -189,8 +219,7 @@ class TimingEngine(NetlistListener):
         ak = self._akernel
         if ak is not None and ak.ready(self):
             return ak.worst_slack(self)
-        slacks = [self.slack(p) for p in self.endpoints()]
-        finite = [s for s in slacks if s < INF]
+        finite = [s for s in self._endpoint_slack_list() if s < INF]
         return min(finite) if finite else INF
 
     def total_negative_slack(self) -> float:
@@ -199,12 +228,12 @@ class TimingEngine(NetlistListener):
         ak = self._akernel
         if ak is not None and ak.ready(self):
             return ak.total_negative_slack(self)
-        return sum(min(0.0, self.slack(p)) for p in self.endpoints()
-                   if self.slack(p) < INF)
+        return negative_slack_sum(self._endpoint_slack_list())
 
     def endpoint_slacks(self) -> Dict[str, float]:
-        self._flush()
-        return {p.full_name: self.slack(p) for p in self.endpoints()}
+        slacks = self._endpoint_slack_list()
+        return {p.full_name: s
+                for p, s in zip(self._endpoint_pins(), slacks)}
 
     def net_electrical(self, net: Net) -> NetElectrical:
         """The (cached) electrical view of a net."""
@@ -372,13 +401,17 @@ class TimingEngine(NetlistListener):
         # one sta.sweep = one non-trivial flush, whichever core runs it
         _p0 = profile.begin()
         if self._akernel is not None:
+            # the array core picks heap or levelized sweep per flush
             self._akernel.flush(self, graph)
         else:
             self._flush_arrivals(graph)
             self._flush_requireds(graph)
         profile.end("sta.sweep", _p0)
 
-    def _flush_arrivals(self, graph: TimingGraph) -> None:
+    def _flush_arrivals(self, graph: TimingGraph,
+                        changed: Optional[Set[Pin]] = None) -> None:
+        """Heap-drain the arrival dirty set; pins whose stored values
+        move are also added to ``changed`` when one is given."""
         heap: List[Tuple[int, int, Pin]] = [
             (graph.level_of(p), next(self._counter), p)
             for p in self._dirty_arr
@@ -401,6 +434,8 @@ class TimingEngine(NetlistListener):
             self._stats["arrival_changes"] += 1
             self._arrival[pin] = new
             self._arrival_min[pin] = new_min
+            if changed is not None:
+                changed.add(pin)
             for dst, _kind in graph.fanout_arcs(pin):
                 if dst not in self._dirty_arr:
                     self._dirty_arr.add(dst)
@@ -412,7 +447,9 @@ class TimingEngine(NetlistListener):
                     if not d.is_clock:
                         self._dirty_req.add(d)
 
-    def _flush_requireds(self, graph: TimingGraph) -> None:
+    def _flush_requireds(self, graph: TimingGraph,
+                         changed: Optional[Set[Pin]] = None) -> None:
+        """Heap-drain the required dirty set (see _flush_arrivals)."""
         heap: List[Tuple[int, int, Pin]] = [
             (-graph.level_of(p), next(self._counter), p)
             for p in self._dirty_req
@@ -432,6 +469,8 @@ class TimingEngine(NetlistListener):
             ):
                 continue
             self._required[pin] = new
+            if changed is not None:
+                changed.add(pin)
             for src, _kind in graph.fanin_arcs(pin):
                 if src not in self._dirty_req:
                     self._dirty_req.add(src)

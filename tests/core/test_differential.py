@@ -35,8 +35,8 @@ def _strip_core(counters):
             if not k.startswith(("core.", "core_", "profile."))}
 
 
-def run_flow(flow, preset, core, library, scale=SCALE):
-    """One traced flow run; returns every comparison surface."""
+def traced_run(flow, preset, core, library, scale=SCALE):
+    """Build a design and run one traced flow on it."""
     design = build_des_design(preset, library, scale=scale, core=core)
     tracer = Tracer(design)
     if flow == "TPS":
@@ -45,7 +45,12 @@ def run_flow(flow, preset, core, library, scale=SCALE):
     else:
         scenario = SPRFlow(design, SPRConfig(seed=1, max_iterations=2),
                            tracer=tracer)
-    report = scenario.run()
+    return design, tracer, scenario.run()
+
+
+def run_flow(flow, preset, core, library, scale=SCALE):
+    """One traced flow run; returns every comparison surface."""
+    design, tracer, report = traced_run(flow, preset, core, library, scale)
     placement = {
         cell.name: (None if cell.position is None
                     else (cell.position.x, cell.position.y))
@@ -99,14 +104,30 @@ class TestFullMatrix:
 
 def test_array_core_actually_ran(library):
     """Guard against the differential silently comparing object to
-    object: the array run must report array-kernel sweep work."""
-    arr = run_flow("TPS", "Des1", "object", library)
-    design = build_des_design("Des1", library, scale=SCALE,
-                              core="array")
-    tracer = Tracer(design)
-    TPSScenario(design, TPSConfig(seed=1), tracer=tracer).run()
+    object: the fast tier's SPR run on the array core must have used
+    both STA kernels — levelized sweeps for its placement retimes and
+    the heap for narrow flushes — and the object run neither."""
+    _, tracer, _ = traced_run("SPR", "Des2", "object", library)
+    totals = tracer.counters.snapshot()
+    assert totals.get("timing.flushes", 0) > 0
+    assert not any(k.startswith("core") for k in totals)
+    _, tracer, _ = traced_run("SPR", "Des2", "array", library)
     totals = tracer.counters.snapshot()
     assert totals.get("core.rebuilds", 0) > 0
     assert totals.get("core.sta.sweeps", 0) > 0
-    assert arr["counters"]  # and the object run had no core.* keys
-    assert not any(k.startswith("core.") for k in arr["counters"])
+    assert totals.get("core.sta.narrow_flushes", 0) > 0
+
+
+def test_tps_flushes_build_no_image_per_edit(library):
+    """TPS re-levelizes after every structural edit, but only a wide
+    flush builds a timing image: builds stay at or below the sweeps
+    and far below the levelizations, and the transforms' own frontiers
+    run on the heap."""
+    _, tracer, _ = traced_run("TPS", "Des1", "array", library)
+    totals = tracer.counters.snapshot()
+    builds = totals["core.sta.image_builds"]
+    assert totals["core.sta.narrow_flushes"] > 0
+    assert builds <= totals["core.sta.sweeps"]
+    assert builds * 20 <= totals["timing.levelizations"]
+    assert totals["core.sta.sweeps"] + totals["core.sta.narrow_flushes"] \
+        == totals["timing.flushes"]
