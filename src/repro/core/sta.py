@@ -105,14 +105,14 @@ def _seg_starts(cnt: np.ndarray) -> np.ndarray:
 class _TimingImage:
     """Frozen index arrays for one timing-graph generation.
 
-    Built by the first wide flush after the engine re-levelizes
-    (structural edits null the graph); value arrays are loaded from the
-    engine's dicts so a rebuilt image continues exactly where the
+    Built by the first wide flush of a graph generation (every
+    structural edit starts a new one); value arrays are loaded from
+    the engine's dicts so a rebuilt image continues exactly where the
     engine's values stand.
     """
 
     def __init__(self, engine, graph: TimingGraph) -> None:
-        self.graph = graph
+        self.generation = graph.generation
         nl = engine.netlist
         pins = list(graph.pins())
         n = len(pins)
@@ -301,10 +301,11 @@ class ArrayStaKernel:
         #: last matched the dicts (tracked only while the image is of
         #: the current graph generation)
         self._stale: Set[Pin] = set()
-        #: (graph, level count) of the last graph a flush ran on
+        #: (graph generation, level count) of the last flush
         self._depth: Optional[tuple] = None
         self._stats = {"sweeps": 0, "narrow_flushes": 0,
                        "image_builds": 0, "image_reloads": 0,
+                       "generations": 0,
                        "frontier_pins": 0, "levels_swept": 0}
 
     def stats(self) -> Dict[str, int]:
@@ -313,8 +314,9 @@ class ArrayStaKernel:
         ``sweeps`` and ``narrow_flushes`` count wide (array) and narrow
         (heap) flushes; ``image_builds`` and ``image_reloads`` count
         fresh images and stale-value reloads, both of which happen only
-        inside wide flushes; ``frontier_pins`` and ``levels_swept``
-        measure sweep work.
+        inside wide flushes; ``generations`` counts the timing-graph
+        generations flushes ran on (at most one image each);
+        ``frontier_pins`` and ``levels_swept`` measure sweep work.
         """
         return dict(self._stats)
 
@@ -338,8 +340,9 @@ class ArrayStaKernel:
 
     def ready(self, engine) -> bool:
         """True when the image holds the engine's current values."""
-        im = self._image
-        return (im is not None and im.graph is engine._graph
+        im, graph = self._image, engine._graph
+        return (im is not None and graph is not None
+                and im.generation == graph.generation
                 and not self._stale)
 
     # ------------------------------------------------------------------
@@ -348,13 +351,14 @@ class ArrayStaKernel:
 
     def _levels(self, graph: TimingGraph) -> int:
         depth = self._depth
-        if depth is None or depth[0] is not graph:
-            depth = self._depth = (graph, graph.max_level() + 1)
+        if depth is None or depth[0] != graph.generation:
+            depth = self._depth = (graph.generation, graph.max_level() + 1)
+            self._stats["generations"] += 1
         return depth[1]
 
     def flush(self, engine, graph: TimingGraph) -> None:
         im = self._image
-        if im is not None and im.graph is not graph:
+        if im is not None and im.generation != graph.generation:
             # a structural edit retired this generation's image
             im = self._image = None
             self._stale = set()

@@ -21,7 +21,12 @@ Kernel key            Where it is timed
 ``bins.rebuild``      a full bin-grid occupancy rebuild
                       (``repro.image.grid.BinGrid._rebuild``)
 ``steiner.build``     one Steiner-tree construction
-                      (:func:`repro.wirelength.steiner.build_steiner`)
+                      (:func:`repro.wirelength.steiner.build_steiner`);
+                      geometry-memo hits of the Steiner cache skip it
+``timing.graph``      one timing-graph build or level repair
+                      (``repro.timing.engine.TimingEngine.graph``)
+``relocation.solve``  one space-transport solve of circuit relocation
+                      (``repro.placement.relocation``)
 ====================  =================================================
 
 The accumulator is a process-global table of ``key → (calls,

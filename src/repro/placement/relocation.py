@@ -7,15 +7,25 @@ target bin supplies the area it must shed, bins with free capacity
 absorb it, and flow travels over bin adjacency at unit cost per hop.
 Realising the flow moves *non-critical* movable cells one hop at a
 time, so critical logic is never disturbed.
+
+The network has a single source, zero-cost sinks and uncapacitated
+unit-cost edges, so every quantum independently pays the hop distance
+to the bin that absorbs it.  The min-cost flow is therefore a
+transportation along a breadth-first search tree rooted at the target:
+absorbing bins are filled in BFS visit order (nondecreasing distance)
+until the supply is met, and each one's quanta travel back along its
+tree path.  Ties are broken by the BFS itself: neighbours are expanded
+in ``grid.neighbors`` order and a bin's parent is its first
+discoverer, so the solution is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from repro import _profile as profile
 from repro.design import Design
 from repro.geometry import Point
 from repro.image.bins import Bin
@@ -52,7 +62,9 @@ class CircuitRelocation:
         if target.free_area >= area_needed:
             return True
         deficit = area_needed - target.free_area
+        _p0 = profile.begin()
         flow = self._solve_flow(target, deficit)
+        profile.end("relocation.solve", _p0)
         if flow is None:
             return False
         self._realize_flow(flow, protect)
@@ -72,41 +84,49 @@ class CircuitRelocation:
 
     def _solve_flow(self, target: Bin,
                     deficit: float) -> Optional[Dict[Tuple, int]]:
-        """Min-cost flow of area quanta from ``target`` to free bins."""
+        """Min-cost flow of area quanta from ``target`` to free bins.
+
+        Returns ``{(u, v): quanta}`` over bin-index pairs, ordered by
+        ``u`` in ``grid.bins()`` order and then ``v`` in neighbour
+        order, or None when the free area cannot absorb the supply.
+        """
         grid = self.design.grid
         supply = int(math.ceil(deficit / _AREA_UNIT))
-        g = nx.DiGraph()
-        sink = "SINK"
-        total_absorb = 0
-        for b in grid.bins():
-            node = (b.ix, b.iy)
-            g.add_node(node, demand=0)
+        root = (target.ix, target.iy)
+        parent: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {
+            root: None}
+        queue = deque([target])
+        sinks: List[Tuple[Tuple[int, int], int]] = []
+        left = supply
+        while queue and left > 0:
+            b = queue.popleft()
             if b is not target and b.free_area > 0:
                 absorb = int(b.free_area / _AREA_UNIT)
                 if absorb > 0:
-                    g.add_edge(node, sink, capacity=absorb, weight=0)
-                    total_absorb += absorb
-        if total_absorb < supply:
-            return None
-        # Adjacency edges: area may relay through any bin (cells arrive,
-        # then depart on a later sweep), so capacity is the full supply;
-        # unit cost per hop makes the flow prefer nearby free space.
-        for b in grid.bins():
-            node = (b.ix, b.iy)
+                    take = min(absorb, left)
+                    sinks.append(((b.ix, b.iy), take))
+                    left -= take
             for nb in grid.neighbors(b):
-                g.add_edge(node, (nb.ix, nb.iy), capacity=supply, weight=1)
-        g.nodes[(target.ix, target.iy)]["demand"] = -supply
-        g.add_node(sink, demand=supply)
-        try:
-            flow = nx.min_cost_flow(g)
-        except nx.NetworkXUnfeasible:
+                node = (nb.ix, nb.iy)
+                if node not in parent:
+                    parent[node] = (b.ix, b.iy)
+                    queue.append(nb)
+        if left > 0:
             return None
-        out = {}
-        for u, targets in flow.items():
-            for v, f in targets.items():
-                if f > 0 and v != sink and u != sink:
-                    out[(u, v)] = f
-        return out
+        edges: Dict[Tuple, int] = {}
+        for node, quanta in sinks:
+            while parent[node] is not None:
+                edge = (parent[node], node)
+                edges[edge] = edges.get(edge, 0) + quanta
+                node = parent[node]
+
+        def rank(edge):
+            # grid.bins() runs over ix then iy, i.e. tuple order
+            u, v = edge[0]
+            around = [(nb.ix, nb.iy) for nb in grid.neighbors(grid.bin(*u))]
+            return u, around.index(v)
+
+        return dict(sorted(edges.items(), key=rank))
 
     # -- flow realisation ------------------------------------------------
 

@@ -75,9 +75,9 @@ class TimingEngine(NetlistListener):
         self._dirty_req: Set[Pin] = set()
         self._net_elec: Dict[str, NetElectrical] = {}
         self._counter = itertools.count()
-        #: (graph, endpoint pins) of the last generation that asked;
-        #: structural events null ``_graph``, which retires the entry
-        self._endpoint_cache: Optional[Tuple[TimingGraph, List[Pin]]] = None
+        #: (graph generation, endpoint pins) of the last generation
+        #: that asked; structural events move the generation on
+        self._endpoint_cache: Optional[Tuple[int, List[Pin]]] = None
 
         self._stats = {
             "arrival_recomputes": 0,
@@ -116,8 +116,11 @@ class TimingEngine(NetlistListener):
           recomputes minus changes is damping won by the dirty-set cut.
         * ``required_recomputes`` — pins whose required time was
           recomputed during backward propagation.
-        * ``levelizations`` — full topological re-levelizations of the
-          timing graph (structural edits invalidate the graph).
+        * ``levelizations`` — full builds of the timing graph: the
+          first query, and the first after each ``invalidate_all``
+          barrier.  Structural edits update the graph in place and
+          repair its levels locally; they count here only when a
+          repair gives up (a combinational loop) and rebuilds.
         * ``flushes`` — dirty-set flushes, i.e. how many times a
           timing query actually found pending work.
 
@@ -187,11 +190,13 @@ class TimingEngine(NetlistListener):
         """The endpoint list, cached per timing-graph generation.
 
         Endpoints change only when cells come or go, and those events
-        null ``_graph``; callers must not mutate the returned list.
+        move the graph's generation on; callers must not mutate the
+        returned list.
         """
         graph = self._graph
+        gen = graph.generation if graph is not None else None
         cached = self._endpoint_cache
-        if cached is not None and cached[0] is graph:
+        if cached is not None and cached[0] == gen:
             return cached[1]
         out = []
         for cell in self.netlist.cells():
@@ -202,8 +207,8 @@ class TimingEngine(NetlistListener):
                     pass
             elif cell.is_port:
                 out.extend(cell.input_pins())
-        if graph is not None:
-            self._endpoint_cache = (graph, out)
+        if gen is not None:
+            self._endpoint_cache = (gen, out)
         return out
 
     def _endpoint_slack_list(self) -> List[float]:
@@ -255,10 +260,12 @@ class TimingEngine(NetlistListener):
         """Discard every cached timing value and electrical view.
 
         The next query re-times the whole design from the current
-        netlist state.  Use after out-of-band changes the event bus
-        did not carry — constraint swaps (SDC reload), virtual-resize
-        staleness barriers, or a design state restored from disk.
+        netlist state and rebuilds the timing graph.  Use after
+        out-of-band changes the event bus did not carry — constraint
+        swaps (SDC reload), virtual-resize staleness barriers, or a
+        design state restored from disk.
         """
+        self._graph = None
         self._mark_all_dirty()
 
     def set_mode(self, mode: DelayMode) -> None:
@@ -293,7 +300,6 @@ class TimingEngine(NetlistListener):
     # ------------------------------------------------------------------
 
     def _mark_all_dirty(self) -> None:
-        self._graph = None
         self._net_elec.clear()
         # Drop the cached values too, not just the dirty marks: the
         # flush damping keeps an old value when the recomputed one is
@@ -350,25 +356,29 @@ class TimingEngine(NetlistListener):
             self._dirty_req.add(p)
 
     def on_connect(self, pin: Pin, net: Net) -> None:
-        self._graph = None
+        if self._graph is not None:
+            self._graph.connect(pin, net)
         self._touch_net(net)
         self._dirty_arr.add(pin)
         self._dirty_req.add(pin)
 
     def on_disconnect(self, pin: Pin, net: Net) -> None:
-        self._graph = None
+        if self._graph is not None:
+            self._graph.disconnect(pin, net)
         self._touch_net(net)
         self._dirty_arr.add(pin)
         self._dirty_req.add(pin)
 
     def on_cell_added(self, cell: Cell) -> None:
-        self._graph = None
+        if self._graph is not None:
+            self._graph.add_cell(cell)
         for pin in cell.pins():
             self._dirty_arr.add(pin)
             self._dirty_req.add(pin)
 
     def on_cell_removed(self, cell: Cell) -> None:
-        self._graph = None
+        if self._graph is not None:
+            self._graph.remove_cell(cell)
         for pin in cell.pins():
             self._arrival.pop(pin, None)
             self._arrival_min.pop(pin, None)
@@ -377,21 +387,38 @@ class TimingEngine(NetlistListener):
             self._dirty_req.discard(pin)
 
     def on_net_removed(self, net: Net) -> None:
-        self._graph = None
+        if self._graph is not None:
+            self._graph.touch()
         self._net_elec.pop(net.name, None)
 
     def on_net_added(self, net: Net) -> None:
-        self._graph = None
+        if self._graph is not None:
+            self._graph.touch()
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
 
     def graph(self) -> TimingGraph:
-        if self._graph is None:
-            self._graph = TimingGraph(self.netlist)
-            self._stats["levelizations"] += 1
-        return self._graph
+        """The timing graph with its levels up to date.
+
+        Built on first use (and after ``invalidate_all``); afterwards
+        the event handlers edit it in place and this repairs its
+        levels.  A combinational loop raises here, as a fresh build
+        would, and leaves no graph behind.
+        """
+        graph = self._graph
+        if graph is not None and not graph.stale:
+            return graph
+        _p0 = profile.begin()
+        try:
+            if graph is None or not graph.repair():
+                self._graph = None
+                self._stats["levelizations"] += 1
+                graph = self._graph = TimingGraph(self.netlist)
+        finally:
+            profile.end("timing.graph", _p0)
+        return graph
 
     def _flush(self) -> None:
         if not self._dirty_arr and not self._dirty_req:

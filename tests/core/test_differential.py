@@ -119,15 +119,16 @@ def test_array_core_actually_ran(library):
 
 
 def test_tps_flushes_build_no_image_per_edit(library):
-    """TPS re-levelizes after every structural edit, but only a wide
-    flush builds a timing image: builds stay at or below the sweeps
-    and far below the levelizations, and the transforms' own frontiers
-    run on the heap."""
+    """Every structural edit of TPS starts a new timing-graph
+    generation, but only a wide flush builds a timing image: builds
+    stay at or below the sweeps and far below the generations flushed,
+    and the transforms' own frontiers run on the heap."""
     _, tracer, _ = traced_run("TPS", "Des1", "array", library)
     totals = tracer.counters.snapshot()
     builds = totals["core.sta.image_builds"]
     assert totals["core.sta.narrow_flushes"] > 0
     assert builds <= totals["core.sta.sweeps"]
-    assert builds * 20 <= totals["timing.levelizations"]
+    assert totals["core.sta.generations"] >= 100
+    assert builds * 20 <= totals["core.sta.generations"]
     assert totals["core.sta.sweeps"] + totals["core.sta.narrow_flushes"] \
         == totals["timing.flushes"]
